@@ -1,19 +1,28 @@
 package repro.core
 
+import repro.graph.CSRGraph
+
 /** Counters shared by all SSPPR solvers.
   *
   * `edgePushes` is the paper's "number of residue updates" (Figure 6): a push
   * on node v costs d_v updates (1 for a dead end, whose whole residue moves to
   * the source). `pushOps` counts push operations; `iterations` counts
-  * synchronous sweeps (0 for purely queue-driven runs).
+  * synchronous sweeps (0 for purely queue-driven runs). `walks` counts the
+  * α-walks of a walk phase, stored or live, and `walkSteps` the moves of its
+  * live walks (a stored walk's moves were made when the index was built).
+  * For now `pushOps` also includes the walks: the benchmark derives
+  * SpeedPPR's walk count from how far `pushOps` grows past its push phase.
   */
 final class Stats {
   var edgePushes: Long = 0L
   var pushOps: Long = 0L
   var iterations: Int = 0
+  var walks: Long = 0L
+  var walkSteps: Long = 0L
   var millis: Long = 0L
   override def toString: String =
-    s"Stats(edgePushes=$edgePushes, pushOps=$pushOps, iterations=$iterations, millis=$millis)"
+    s"Stats(edgePushes=$edgePushes, pushOps=$pushOps, iterations=$iterations, " +
+      s"walks=$walks, walkSteps=$walkSteps, millis=$millis)"
 }
 
 /** Result of a single-source PPR computation.
@@ -60,6 +69,21 @@ object Common {
     while (i < a.length) { t += math.abs(a(i) - b(i)); i += 1 }
     t
   }
+
+  /** Fail fast on the inputs of an approximate query: 0 < ε < 1,
+    * 0 < α < 1, s ∈ [0, n), and an index (if any) built for a graph of g's
+    * size. Throws IllegalArgumentException naming the bad parameter.
+    */
+  def requireApprox(g: CSRGraph, s: Int, eps: Double, alpha: Double,
+                    index: Option[WalkIndex] = None): Unit = {
+    requireIn01("eps", eps)
+    requireIn01("alpha", alpha)
+    require(s >= 0 && s < g.n, s"source s = $s must lie in [0, ${g.n})")
+    index.foreach(i => require(i.n == g.n, s"index covers ${i.n} nodes, graph has ${g.n}"))
+  }
+
+  def requireIn01(name: String, x: Double): Unit =
+    require(x > 0.0 && x < 1.0, s"$name = $x must lie in (0, 1)")
 
   /** Chernoff walk count W from Eq. (12), with μ = 1/n by convention. */
   def walkCountW(n: Int, eps: Double, mu: Double): Double =

@@ -1,6 +1,5 @@
 package repro.core
 
-import java.util.Random
 import repro.graph.CSRGraph
 
 /** FORA and FORA+ (§6.1) — the state-of-the-art Approx-SSPPR baseline.
@@ -26,40 +25,12 @@ object Fora {
 
   private def runImpl(g: CSRGraph, s: Int, eps: Double, alpha: Double,
                       seed: Long, index: Option[WalkIndex]): PPRResult = {
+    Common.requireApprox(g, s, eps, alpha, index)
     val t0 = System.nanoTime()
-    val n = g.n
-    val w = math.ceil(Common.walkCountW(n, eps, 1.0 / n)).toLong
-    val rMax = 1.0 / math.sqrt(g.m.toDouble * w)
-    val push = FwdPush.run(g, s, rMax, alpha)
-    val pi = push.pi
-    val r = push.residue
-    val rng = new Random(seed)
-    val stats = push.stats
-    var v = 0
-    while (v < n) {
-      val rv = r(v)
-      if (rv > 0.0) {
-        val wv = math.ceil(rv * w).toLong
-        val inc = rv / wv
-        var k = 0L
-        index match {
-          case Some(idx) =>
-            val stored = idx.countOf(v)
-            while (k < wv) {
-              val u =
-                if (k < stored) idx.endpoint(v, k, g, s, alpha, rng)
-                else MonteCarlo.walk(g, s, v, alpha, rng) // top-up, counted live
-              pi(u) += inc
-              k += 1
-            }
-          case None =>
-            while (k < wv) { pi(MonteCarlo.walk(g, s, v, alpha, rng)) += inc; k += 1 }
-        }
-        stats.pushOps += wv
-      }
-      v += 1
-    }
-    stats.millis = (System.nanoTime() - t0) / 1000000L
-    PPRResult(pi, new Array[Double](n), stats)
+    val w = math.ceil(Common.walkCountW(g.n, eps, 1.0 / g.n)).toLong
+    val push = FwdPush.run(g, s, 1.0 / math.sqrt(g.m.toDouble * w), alpha)
+    WalkPhase.run(g, s, push.pi, push.residue, w, index, alpha, seed, push.stats)
+    push.stats.millis = (System.nanoTime() - t0) / 1000000L
+    push
   }
 }

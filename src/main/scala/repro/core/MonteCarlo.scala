@@ -1,9 +1,9 @@
 package repro.core
 
-import java.util.Random
+import java.util.random.RandomGenerator
 import repro.graph.CSRGraph
 
-/** α-random-walk engine and the plain Monte-Carlo Approx-SSPPR baseline
+/** Single α-random walks and the plain Monte-Carlo Approx-SSPPR baseline
   * (§6.1): W independent walks from s; π̂(s,v) = f(s,v)/W.
   */
 object MonteCarlo {
@@ -13,19 +13,15 @@ object MonteCarlo {
     * Semantics per §2: at the current node, stop with probability α; else
     * move uniformly to an out-neighbor, or jump back to the *query source* s
     * at a dead end. `start` may differ from `s` (FORA/SpeedPPR phase 2).
+    * The solvers' walk phases run in [[WalkPhase]]; this single walk serves
+    * `WalkIndex.endpoint` and the tests.
     */
-  def walk(g: CSRGraph, s: Int, start: Int, alpha: Double, rng: Random): Int = {
-    var v = start
-    while (rng.nextDouble() >= alpha) {
-      val d = g.outDegree(v)
-      v = if (d == 0) s else g.edges(g.offset(v) + rng.nextInt(d))
-    }
-    v
-  }
+  def walk(g: CSRGraph, s: Int, start: Int, alpha: Double, rng: RandomGenerator): Int =
+    walkCounted(g, s, start, alpha, rng, new Array[Long](1))
 
-  /** Walk counter for cost accounting: same as [[walk]] but also counts steps. */
+  /** [[walk]] that also adds its number of moves to `steps(0)`. */
   def walkCounted(g: CSRGraph, s: Int, start: Int, alpha: Double,
-                  rng: Random, steps: Array[Long]): Int = {
+                  rng: RandomGenerator, steps: Array[Long]): Int = {
     var v = start
     while (rng.nextDouble() >= alpha) {
       val d = g.outDegree(v)
@@ -39,23 +35,17 @@ object MonteCarlo {
   def run(g: CSRGraph, s: Int, eps: Double,
           alpha: Double = Common.DefaultAlpha, mu: Double = Double.NaN,
           seed: Long = 1L): PPRResult = {
+    Common.requireApprox(g, s, eps, alpha)
     val t0 = System.nanoTime()
     val n = g.n
-    val muEff = if (mu.isNaN) 1.0 / n else mu
-    val w = math.ceil(Common.walkCountW(n, eps, muEff)).toLong
-    val rng = new Random(seed)
+    val w = math.ceil(Common.walkCountW(n, eps, if (mu.isNaN) 1.0 / n else mu)).toLong
     val pi = new Array[Double](n)
-    val inc = 1.0 / w
-    var i = 0L
+    val r = new Array[Double](n)
+    r(s) = 1.0 // W walks of weight 1/W from s
     val stats = new Stats
-    val steps = new Array[Long](1)
-    while (i < w) {
-      pi(walkCounted(g, s, s, alpha, rng, steps)) += inc
-      i += 1
-    }
-    stats.edgePushes = steps(0) // walk steps are the unit of work here
-    stats.pushOps = w
+    WalkPhase.run(g, s, pi, r, w, None, alpha, seed, stats)
+    stats.edgePushes = stats.walkSteps // walk steps are the unit of work here
     stats.millis = (System.nanoTime() - t0) / 1000000L
-    PPRResult(pi, new Array[Double](n), stats)
+    PPRResult(pi, r, stats)
   }
 }

@@ -1,6 +1,5 @@
 package repro.core
 
-import java.util.Random
 import repro.graph.CSRGraph
 
 /** ResAcc-lite — our rendition of ResAcc [Lin et al., ICDE 2020], the
@@ -20,6 +19,7 @@ object ResAcc {
 
   def run(g: CSRGraph, s: Int, eps: Double,
           alpha: Double = Common.DefaultAlpha, seed: Long = 1L): PPRResult = {
+    Common.requireApprox(g, s, eps, alpha)
     val t0 = System.nanoTime()
     val n = g.n
     val w = math.ceil(Common.walkCountW(n, eps, 1.0 / n)).toLong
@@ -44,20 +44,8 @@ object ResAcc {
       }
     }
 
-    val rng = new Random(seed)
-    var v = 0
-    while (v < n) {
-      val rv = r(v)
-      if (rv > 0.0) {
-        val wv = math.ceil(rv * w).toLong
-        val inc = rv / wv
-        var k = 0L
-        while (k < wv) { pi(MonteCarlo.walk(g, s, v, alpha, rng)) += inc; k += 1 }
-        stats.pushOps += wv
-      }
-      v += 1
-    }
+    WalkPhase.run(g, s, pi, r, w, None, alpha, seed, stats)
     stats.millis = (System.nanoTime() - t0) / 1000000L
-    PPRResult(pi, new Array[Double](n), stats)
+    PPRResult(pi, r, stats)
   }
 }

@@ -1,6 +1,7 @@
 package repro.core
 
-import java.util.Random
+import java.util.SplittableRandom
+import java.util.random.RandomGenerator
 import repro.graph.CSRGraph
 
 /** Pre-generated α-random-walk endpoints — the index structure behind FORA+
@@ -26,27 +27,13 @@ final class WalkIndex(val offsets: Array[Long], val endpoints: Array[Int]) {
   /** Resolve the k-th stored walk of v (k < countOf(v)) for query source s:
     * finishes marker walks live from s with `rng`.
     */
-  def endpoint(v: Int, k: Long, g: CSRGraph, s: Int, alpha: Double, rng: Random): Int = {
+  def endpoint(v: Int, k: Long, g: CSRGraph, s: Int, alpha: Double, rng: RandomGenerator): Int = {
     val e = endpoints((offsets(v) + k).toInt)
     if (e >= 0) e else MonteCarlo.walk(g, s, s, alpha, rng)
   }
 }
 
 object WalkIndex {
-
-  /** Walk from `start` recording either the stop node or `~deadEnd` if the
-    * walk leaves a dead end (source-dependent continuation deferred).
-    */
-  private def indexWalk(g: CSRGraph, start: Int, alpha: Double, rng: Random): Int = {
-    var v = start
-    while (true) {
-      if (rng.nextDouble() < alpha) return v
-      val d = g.outDegree(v)
-      if (d == 0) return ~v
-      v = g.edges(g.offset(v) + rng.nextInt(d))
-    }
-    throw new IllegalStateException("unreachable")
-  }
 
   /** Build an index with `walksFor(v)` stored walks per node.
     *
@@ -55,19 +42,40 @@ object WalkIndex {
     */
   def build(g: CSRGraph, walksFor: Int => Int,
             alpha: Double = Common.DefaultAlpha, seed: Long = 99L): WalkIndex = {
-    val rng = new Random(seed)
+    Common.requireIn01("alpha", alpha)
     val offsets = new Array[Long](g.n + 1)
     var v = 0
     while (v < g.n) { offsets(v + 1) = offsets(v) + math.max(0, walksFor(v)); v += 1 }
     val total = offsets(g.n)
     require(total <= Int.MaxValue, s"index too large: $total walks")
     val endpoints = new Array[Int](total.toInt)
+    // WalkPhase's interleaved lanes; each lane carries the slot its walk
+    // fills and records there the stop node, or `~d` on leaving dead end d.
+    val rng = new SplittableRandom(seed)
+    val at = new Array[Int](WalkPhase.Lanes)
+    val slot = new Array[Int](WalkPhase.Lanes)
+    var next, live = 0 // next: the next slot to start; v: its start node
     v = 0
-    while (v < g.n) {
-      var k = offsets(v)
-      val end = offsets(v + 1)
-      while (k < end) { endpoints(k.toInt) = indexWalk(g, v, alpha, rng); k += 1 }
-      v += 1
+    def fill(j: Int): Boolean = next < total && {
+      while (offsets(v + 1) <= next) v += 1
+      at(j) = v; slot(j) = next; next += 1
+      true
+    }
+    while (live < at.length && fill(live)) live += 1
+    while (live > 0) {
+      var j = 0
+      while (j < live) {
+        val u = at(j)
+        val stop = rng.nextDouble() < alpha
+        val d = g.outDegree(u)
+        if (stop || d == 0) {
+          endpoints(slot(j)) = if (stop) u else ~u
+          if (fill(j)) j += 1 else { live -= 1; at(j) = at(live); slot(j) = slot(live) }
+        } else {
+          at(j) = g.edges(g.offset(u) + rng.nextInt(d))
+          j += 1
+        }
+      }
     }
     new WalkIndex(offsets, endpoints)
   }
@@ -75,6 +83,7 @@ object WalkIndex {
   /** FORA+ index for relative error ε (μ = 1/n): K_v = ⌈d_v·√(W/m)⌉ + 1. */
   def buildFora(g: CSRGraph, eps: Double,
                 alpha: Double = Common.DefaultAlpha, seed: Long = 99L): WalkIndex = {
+    Common.requireIn01("eps", eps)
     val w = Common.walkCountW(g.n, eps, 1.0 / g.n)
     val scale = math.sqrt(w / g.m)
     build(g, v => math.ceil(g.outDegree(v) * scale).toInt + 1, alpha, seed)
